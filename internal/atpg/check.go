@@ -101,11 +101,10 @@ type CheckDetail struct {
 	Budget int64
 }
 
-// Checker proves or refutes candidate substitutions on one netlist. It is
-// stateless across checks except for statistics, the last check's
-// detail, and the last counterexample; create one per netlist.
-type Checker struct {
-	nl *netlist.Netlist
+// Accounting is the per-proof bookkeeping both checkers share: the
+// budget and cancellation a proof runs under, and the statistics, detail,
+// span, metrics and "check" event it leaves behind.
+type Accounting struct {
 	// Budget is the conflict budget per check; exceeded means Aborted.
 	Budget int64
 	Stats  CheckStats
@@ -118,6 +117,97 @@ type Checker struct {
 	// LastCheck holds the detail of the most recent proof (each check
 	// overwrites it; escalated retries therefore report the final round).
 	LastCheck CheckDetail
+}
+
+// proof is one decision as the accounting sees it. Cached marks a
+// verdict served by the signature cache without a solve.
+type proof struct {
+	verdict              Verdict
+	conflicts, decisions int64
+	cached               bool
+}
+
+// account runs decide under one "prove" span (the SAT solve nests under
+// it through the derived context) and records the outcome: statistics,
+// LastCheck, span attributes, metrics and the "check" event. Proofs by
+// the incremental checker carry the "incremental" attribute.
+func (a *Accounting) account(kind string, branches int, incremental bool, decide func(context.Context) proof) Verdict {
+	a.Stats.Checks++
+	start := time.Now()
+	ctx, sp := trace.StartSpan(a.Ctx, "prove")
+	p := decide(ctx)
+	seconds := time.Since(start).Seconds()
+	v := p.verdict
+	switch v {
+	case Permissible:
+		a.Stats.Permissible++
+	case NotPermissible:
+		a.Stats.Refuted++
+	default:
+		a.Stats.Aborted++
+	}
+	a.Stats.Conflicts += p.conflicts
+	a.Stats.Decisions += p.decisions
+	a.LastCheck = CheckDetail{
+		Verdict:   v,
+		Conflicts: p.conflicts,
+		Decisions: p.decisions,
+		Seconds:   seconds,
+		Budget:    a.Budget,
+	}
+
+	if m := a.Obs.Metrics(); m != nil {
+		m.Counter("atpg.checks").Inc()
+		m.Counter("atpg.verdict." + v.String()).Inc()
+		m.Counter("atpg.conflicts").Add(p.conflicts)
+		m.Counter("atpg.decisions").Add(p.decisions)
+		m.Histogram("atpg.check.seconds").ObserveSince(start)
+		if p.cached {
+			m.Counter("atpg.sigcache.hits").Inc()
+		}
+	}
+	tracing := a.Obs.Tracing()
+	if sp == nil && !tracing {
+		return v
+	}
+	f := obs.Fields{
+		"kind":      kind,
+		"verdict":   v.String(),
+		"branches":  branches,
+		"conflicts": p.conflicts,
+		"decisions": p.decisions,
+	}
+	if incremental {
+		f["incremental"] = true
+	}
+	if p.cached {
+		f["sigcache"] = true
+	}
+	if a.Budget > 0 {
+		f["budget"] = a.Budget
+	}
+	if sp != nil {
+		for k, x := range f {
+			sp.SetAttr(k, x)
+		}
+		sp.End()
+	}
+	if tracing {
+		f["seconds"] = seconds
+		if a.Budget > 0 {
+			f["budget_used_pct"] = 100 * float64(p.conflicts) / float64(a.Budget)
+		}
+		a.Obs.Emit("check", f)
+	}
+	return v
+}
+
+// Checker proves or refutes candidate substitutions on one netlist. It is
+// stateless across checks except for its accounting and the last
+// counterexample; create one per netlist.
+type Checker struct {
+	Accounting
+	nl *netlist.Netlist
 
 	// cex holds the distinguishing primary-input assignment of the last
 	// NotPermissible verdict, in input order.
@@ -126,7 +216,7 @@ type Checker struct {
 
 // NewChecker returns a checker with the default proof budget.
 func NewChecker(nl *netlist.Netlist) *Checker {
-	return &Checker{nl: nl, Budget: 50000}
+	return &Checker{nl: nl, Accounting: Accounting{Budget: 50000}}
 }
 
 // Counterexample returns the primary-input assignment (in Inputs() order)
@@ -148,67 +238,10 @@ func (c *Checker) CheckStem(a netlist.NodeID, src Source) Verdict {
 	return c.check("stem", branches, src)
 }
 
-// check runs one proof with outcome accounting: statistics, per-check
-// metrics, and a structured "check" event when an observer is attached.
 func (c *Checker) check(kind string, changed []netlist.Branch, src Source) Verdict {
-	c.Stats.Checks++
-	start := time.Now()
-	// One "prove" span per permissibility proof; the SAT solve inside
-	// nests under it through the derived context.
-	ctx, sp := trace.StartSpan(c.Ctx, "prove")
-	v, conflicts, decisions := c.decide(ctx, changed, src)
-	if sp != nil {
-		sp.SetAttr("kind", kind)
-		sp.SetAttr("verdict", v.String())
-		sp.SetAttr("branches", len(changed))
-		sp.SetAttr("conflicts", conflicts)
-		sp.SetAttr("decisions", decisions)
-		if c.Budget > 0 {
-			sp.SetAttr("budget", c.Budget)
-		}
-		sp.End()
-	}
-	switch v {
-	case Permissible:
-		c.Stats.Permissible++
-	case NotPermissible:
-		c.Stats.Refuted++
-	default:
-		c.Stats.Aborted++
-	}
-	c.Stats.Conflicts += conflicts
-	c.Stats.Decisions += decisions
-	c.LastCheck = CheckDetail{
-		Verdict:   v,
-		Conflicts: conflicts,
-		Decisions: decisions,
-		Seconds:   time.Since(start).Seconds(),
-		Budget:    c.Budget,
-	}
-
-	if m := c.Obs.Metrics(); m != nil {
-		m.Counter("atpg.checks").Inc()
-		m.Counter("atpg.verdict." + v.String()).Inc()
-		m.Counter("atpg.conflicts").Add(conflicts)
-		m.Counter("atpg.decisions").Add(decisions)
-		m.Histogram("atpg.check.seconds").ObserveSince(start)
-	}
-	if c.Obs.Tracing() {
-		f := obs.Fields{
-			"kind":      kind,
-			"verdict":   v.String(),
-			"branches":  len(changed),
-			"conflicts": conflicts,
-			"decisions": decisions,
-			"seconds":   time.Since(start).Seconds(),
-		}
-		if c.Budget > 0 {
-			f["budget"] = c.Budget
-			f["budget_used_pct"] = 100 * float64(conflicts) / float64(c.Budget)
-		}
-		c.Obs.Emit("check", f)
-	}
-	return v
+	return c.account(kind, len(changed), false, func(ctx context.Context) proof {
+		return c.decide(ctx, changed, src)
+	})
 }
 
 // decide builds the substitution miter and decides it, returning the SAT
@@ -218,7 +251,7 @@ func (c *Checker) check(kind string, changed []netlist.Branch, src Source) Verdi
 // encoded once; every gate in the transitive fanout of a rewired pin is
 // duplicated with the rewired pins reading the source signal. The check
 // asks whether any primary output can differ; UNSAT proves permissibility.
-func (c *Checker) decide(ctx context.Context, changed []netlist.Branch, src Source) (verdict Verdict, conflicts, decisions int64) {
+func (c *Checker) decide(ctx context.Context, changed []netlist.Branch, src Source) proof {
 	nl := c.nl
 
 	p := planMiter(nl, changed, src)
@@ -226,7 +259,7 @@ func (c *Checker) decide(ctx context.Context, changed []netlist.Branch, src Sour
 	// cycle in the rewired circuit; such candidates are structural
 	// mistakes, never permissible rewirings.
 	if p.cyclic {
-		return NotPermissible, 0, 0
+		return proof{verdict: NotPermissible}
 	}
 
 	s := sat.New()
@@ -235,17 +268,16 @@ func (c *Checker) decide(ctx context.Context, changed []netlist.Branch, src Sour
 	b := newCNFBuilder(nl, s)
 
 	diffs := buildMiter(nl, b, s, p)
-	if len(diffs) == 0 {
+	if len(diffs) == 0 || !s.AddClause(diffs...) {
 		// No primary output can observe the change.
-		return Permissible, 0, 0
-	}
-	if !s.AddClause(diffs...) {
-		return Permissible, 0, 0
+		return proof{verdict: Permissible}
 	}
 
-	switch s.Solve() {
+	res := s.Solve()
+	out := proof{verdict: Aborted, conflicts: s.Conflicts, decisions: s.Decisions}
+	switch res {
 	case sat.Unsat:
-		return Permissible, s.Conflicts, s.Decisions
+		out.verdict = Permissible
 	case sat.Sat:
 		c.cex = make([]bool, len(nl.Inputs()))
 		for i, in := range nl.Inputs() {
@@ -253,10 +285,9 @@ func (c *Checker) decide(ctx context.Context, changed []netlist.Branch, src Sour
 				c.cex[i] = s.Value(v)
 			}
 		}
-		return NotPermissible, s.Conflicts, s.Decisions
-	default:
-		return Aborted, s.Conflicts, s.Decisions
+		out.verdict = NotPermissible
 	}
+	return out
 }
 
 // String renders the stats.

@@ -3,11 +3,8 @@ package atpg
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"powder/internal/netlist"
-	"powder/internal/obs"
-	"powder/internal/obs/trace"
 	"powder/internal/sat"
 )
 
@@ -25,23 +22,16 @@ import (
 // check panics if the netlist version has moved. Checkers are not safe
 // for concurrent use; the parallel engine runs one per worker per round.
 type IncrementalChecker struct {
+	// Accounting is shared with Checker; Obs additionally receives
+	// atpg.sigcache.hits for cache short-circuits.
+	Accounting
 	nl      *netlist.Netlist
 	version int64
 	inc     *sat.Incremental
 	b       *cnfBuilder
 
-	// Budget is the conflict budget per check; exceeded means Aborted.
-	Budget int64
-	Stats  CheckStats
-	// Obs receives the same per-check events and metrics as Checker,
-	// plus atpg.sigcache.hits for cache short-circuits.
-	Obs *obs.Observer
-	// Ctx, when non-nil, is polled inside the SAT search.
-	Ctx context.Context
 	// Sig, when non-nil, is the (shared, thread-safe) refuted-miter cache.
 	Sig *SigCache
-	// LastCheck holds the detail of the most recent proof.
-	LastCheck CheckDetail
 
 	sigs nodeSigs
 	cex  []bool
@@ -56,7 +46,8 @@ func NewIncrementalChecker(nl *netlist.Netlist) *IncrementalChecker {
 		version: nl.Version(),
 		inc:     inc,
 		b:       newCNFBuilder(nl, inc.Base()),
-		Budget:  50000,
+
+		Accounting: Accounting{Budget: 50000},
 	}
 }
 
@@ -93,86 +84,26 @@ func (c *IncrementalChecker) check(kind string, changed []netlist.Branch, src So
 		panic(fmt.Sprintf("atpg: netlist changed under IncrementalChecker (version %d -> %d)",
 			c.version, c.nl.Version()))
 	}
-	c.Stats.Checks++
-	start := time.Now()
-	ctx, sp := trace.StartSpan(c.Ctx, "prove")
-	v, support, conflicts, decisions, cached := c.decide(ctx, changed, src)
-	if sp != nil {
-		sp.SetAttr("kind", kind)
-		sp.SetAttr("verdict", v.String())
-		sp.SetAttr("branches", len(changed))
-		sp.SetAttr("conflicts", conflicts)
-		sp.SetAttr("decisions", decisions)
-		sp.SetAttr("incremental", true)
-		if cached {
-			sp.SetAttr("sigcache", true)
-		}
-		if c.Budget > 0 {
-			sp.SetAttr("budget", c.Budget)
-		}
-		sp.End()
-	}
-	switch v {
-	case Permissible:
-		c.Stats.Permissible++
-	case NotPermissible:
-		c.Stats.Refuted++
-	default:
-		c.Stats.Aborted++
-	}
-	c.Stats.Conflicts += conflicts
-	c.Stats.Decisions += decisions
-	c.LastCheck = CheckDetail{
-		Verdict:   v,
-		Conflicts: conflicts,
-		Decisions: decisions,
-		Seconds:   time.Since(start).Seconds(),
-		Budget:    c.Budget,
-	}
-
-	if m := c.Obs.Metrics(); m != nil {
-		m.Counter("atpg.checks").Inc()
-		m.Counter("atpg.verdict." + v.String()).Inc()
-		m.Counter("atpg.conflicts").Add(conflicts)
-		m.Counter("atpg.decisions").Add(decisions)
-		m.Histogram("atpg.check.seconds").ObserveSince(start)
-		if cached {
-			m.Counter("atpg.sigcache.hits").Inc()
-		}
-	}
-	if c.Obs.Tracing() {
-		f := obs.Fields{
-			"kind":        kind,
-			"verdict":     v.String(),
-			"branches":    len(changed),
-			"conflicts":   conflicts,
-			"decisions":   decisions,
-			"seconds":     time.Since(start).Seconds(),
-			"incremental": true,
-		}
-		if cached {
-			f["sigcache"] = true
-		}
-		if c.Budget > 0 {
-			f["budget"] = c.Budget
-			f["budget_used_pct"] = 100 * float64(conflicts) / float64(c.Budget)
-		}
-		c.Obs.Emit("check", f)
-	}
+	var support []netlist.NodeID
+	v := c.account(kind, len(changed), true, func(ctx context.Context) proof {
+		var p proof
+		p, support = c.decide(ctx, changed, src)
+		return p
+	})
 	return v, support
 }
 
-func (c *IncrementalChecker) decide(ctx context.Context, changed []netlist.Branch, src Source) (verdict Verdict, support []netlist.NodeID, conflicts, decisions int64, cached bool) {
+func (c *IncrementalChecker) decide(ctx context.Context, changed []netlist.Branch, src Source) (proof, []netlist.NodeID) {
 	p := planMiter(c.nl, changed, src)
 	if p.cyclic {
-		return NotPermissible, nil, 0, 0, false
+		return proof{verdict: NotPermissible}, nil
 	}
 
 	var key [32]byte
 	if c.Sig != nil {
 		key = p.miterKey(c.nl, &c.sigs)
 		if c.Sig.Refuted(key) {
-			return NotPermissible, nil, 0, 0, true
+			return proof{verdict: NotPermissible, cached: true}, nil
 		}
 	}
 
@@ -183,19 +114,17 @@ func (c *IncrementalChecker) decide(ctx context.Context, changed []netlist.Branc
 	defer scope.Retire()
 
 	diffs := buildMiter(c.nl, c.b, scope, p)
-	if len(diffs) == 0 {
-		return Permissible, p.support(c.nl), 0, 0, false
-	}
-	if !scope.AddClause(diffs...) {
-		return Permissible, p.support(c.nl), 0, 0, false
+	if len(diffs) == 0 || !scope.AddClause(diffs...) {
+		return proof{verdict: Permissible}, p.support(c.nl)
 	}
 
 	c0, d0 := base.Conflicts, base.Decisions
 	res := scope.Solve()
-	conflicts, decisions = base.Conflicts-c0, base.Decisions-d0
+	out := proof{verdict: Aborted, conflicts: base.Conflicts - c0, decisions: base.Decisions - d0}
 	switch res {
 	case sat.Unsat:
-		return Permissible, p.support(c.nl), conflicts, decisions, false
+		out.verdict = Permissible
+		return out, p.support(c.nl)
 	case sat.Sat:
 		c.cex = make([]bool, len(c.nl.Inputs()))
 		for i, in := range c.nl.Inputs() {
@@ -206,8 +135,7 @@ func (c *IncrementalChecker) decide(ctx context.Context, changed []netlist.Branc
 		if c.Sig != nil {
 			c.Sig.StoreRefuted(key)
 		}
-		return NotPermissible, nil, conflicts, decisions, false
-	default:
-		return Aborted, nil, conflicts, decisions, false
+		out.verdict = NotPermissible
 	}
+	return out, nil
 }

@@ -16,11 +16,20 @@
 //	    power_estimate_update(good)                    // power.Model refresh
 //	  }
 //	} while cand != {}
+//
+// The package writes each stage once (pipeline.go) and drives it with two
+// engines. A run owns the shared prologue and epilogue; lane.greedy is the
+// repeat window above, with lane.prove as check_candidate and its budget
+// escalation ladder; run.commit performs a substitution on the master as
+// one transaction. The sequential engine (Parallelism <= 1) runs greedy on
+// the master and commits every accepted move. The parallel engine
+// (parallel.go) runs greedy on region replicas, where accepting applies to
+// the replica and emits a proposal, and then commits the proposals through
+// the same run.commit. TestEngineGolden pins both engines' output.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -31,7 +40,6 @@ import (
 	"powder/internal/obs"
 	"powder/internal/obs/trace"
 	"powder/internal/power"
-	"powder/internal/sta"
 	"powder/internal/transform"
 )
 
@@ -80,8 +88,7 @@ type Options struct {
 	// (internal/partition) and harvest/analysis/proving run concurrently
 	// per region on replica netlists, with applies serialized through the
 	// transactional journal on the master (see parallel.go). <= 1 runs
-	// the sequential engine, whose output is byte-identical to builds
-	// before the parallel engine existed.
+	// the sequential engine on the master netlist alone.
 	Parallelism int
 	// VerifyEvery refreshes the last-good safety-net snapshot after
 	// this many applied substitutions by proving the current netlist
@@ -413,20 +420,14 @@ func Optimize(nl *netlist.Netlist, opts Options) (*Result, error) {
 //     input, and the panic is returned as an error.
 func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *Result, err error) {
 	opts.normalize()
-	if opts.Parallelism > 1 {
-		return optimizeParallel(ctx, nl, opts)
-	}
-	o := opts.observer()
-	opts.Power.Obs = o
-	opts.Transform.Obs = o
-	ph := obs.NewPhaseSet()
-	start := time.Now()
-
 	// Root span of the run; every phase, candidate, proof, and SAT solve
 	// below nests under it through the context. A context without a
 	// tracer makes all of this free.
 	ctx, optSpan := trace.StartSpan(ctx, "optimize")
 	optSpan.SetAttr("circuit", nl.Name)
+	if opts.Parallelism > 1 {
+		optSpan.SetAttr("parallelism", opts.Parallelism)
+	}
 	defer func() {
 		if res != nil {
 			optSpan.SetAttr("applied", res.Applied)
@@ -436,548 +437,45 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 		}
 		optSpan.End()
 	}()
-
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
 
-	res = &Result{
-		ByClass: map[transform.Kind]*ClassStats{
-			transform.OS2: {}, transform.IS2: {}, transform.OS3: {}, transform.IS3: {},
-		},
-		Rejects: map[string]int{},
-		Stopped: StopCompleted,
+	r := newRun(ctx, nl, &opts)
+	res = r.res
+	defer r.restoreOnPanic(&err)
+	r.estimate()
+	if opts.Parallelism > 1 {
+		r.parallel()
+	} else {
+		r.sequential()
 	}
-
-	// The run ledger records every selected attempt; a nil ledger (when
-	// disabled) is a no-op on every method.
-	var led *obs.Ledger
-	if opts.LedgerLimit >= 0 {
-		led = obs.NewLedger(opts.LedgerLimit)
-	}
-	// Reused per-node power captures bracketing each apply; their diff is
-	// the per-node attribution of the realized gain.
-	var perNodeBefore, perNodeAfter []float64
-
-	// Safety net: the input clone is trivially the last netlist known
-	// equivalent to the input; periodic verification moves it forward.
-	input := nl.Clone()
-	lastGood := input
-	defer func() {
-		if r := recover(); r != nil {
-			nl.RestoreFrom(lastGood)
-			res.Stopped = StopPanic
-			res.Runtime = time.Since(start)
-			res.Phases = ph.Snapshot()
-			res.Ledger = led.Summary()
-			stampActivity(res.Ledger, opts.Activity)
-			// Best-effort final numbers for the restored netlist; a
-			// second panic here must not mask the restore.
-			func() {
-				defer func() { _ = recover() }()
-				res.Final = power.Estimate(nl, opts.Power).Snapshot()
-				res.FinalDelay = sta.NewObserved(nl, 0, opts.InputDrive, nil).Delay()
-			}()
-			err = fmt.Errorf("core: recovered panic in optimization: %v (netlist restored to last verified snapshot)", r)
-		}
-	}()
-
-	_, estSpan := trace.StartSpan(ctx, "power-estimate")
-	stop := ph.Start("power-estimate")
-	pm := power.Estimate(nl, opts.Power)
-	res.Initial = pm.Snapshot()
-	stop()
-	estSpan.End()
-	_, staSpan := trace.StartSpan(ctx, "delay-analysis")
-	stop = ph.Start("delay-analysis")
-	res.InitialDelay = sta.NewObserved(nl, 0, opts.InputDrive, o).Delay()
-	stop()
-	staSpan.End()
-
-	constraint := opts.DelayConstraint
-	if opts.DelayFactor > 0 {
-		constraint = res.InitialDelay * opts.DelayFactor
-	}
-	res.Constraint = constraint
-
-	reportProgress := func(done bool) {
-		if opts.Progress == nil {
-			return
-		}
-		opts.Progress(Progress{
-			Applied:      res.Applied,
-			Harvests:     res.Harvests,
-			Candidates:   res.Candidates,
-			InitialPower: res.Initial.Power,
-			Power:        pm.Total(),
-			Done:         done,
-		})
-	}
-	reportProgress(false)
-
-	checker := atpg.NewChecker(nl)
-	checker.Obs = o
-	checker.Ctx = ctx
-	if opts.CheckBudget > 0 {
-		checker.Budget = opts.CheckBudget
-	}
-
-	// stopRequested reports (and records) context expiry; every loop
-	// boundary consults it so cancellation never interrupts an edit.
-	stopRequested := func() bool {
-		if ctx.Err() == nil {
-			return false
-		}
-		if res.Stopped == StopCompleted {
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				res.Stopped = StopDeadline
-			} else {
-				res.Stopped = StopCancelled
-			}
-			o.Emit("stopped", obs.Fields{"reason": string(res.Stopped), "applied": res.Applied})
-		}
-		return true
-	}
-
-	// reject discards a selected candidate: reason counters, a ledger
-	// provenance entry (with the proof record when the candidate reached
-	// the checker), and a structured event.
-	reject := func(reason string, s *transform.Substitution, proof *obs.LedgerProof) {
-		res.Rejects[reason]++
-		o.Counter("core.rejects." + reason).Inc()
-		if s != nil && led != nil {
-			led.Record(obs.LedgerAttempt{
-				Kind:          s.Kind.String(),
-				Target:        s.TargetString(),
-				Source:        s.SourceString(),
-				PredictedGain: s.Gain(),
-				Outcome:       obs.LedgerRejected,
-				Reason:        reason,
-				Proof:         proof,
-			})
-			o.Counter("core.ledger.attempts").Inc()
-		}
-		if o.Tracing() {
-			f := obs.Fields{"reason": reason}
-			if s != nil {
-				f["kind"] = s.Kind.String()
-				f["sub"] = s.String()
-			}
-			o.Emit("reject", f)
-		}
-	}
-
-	retriesLeft := opts.MaxRetries
-	hooks := opts.Inject
-	verifyErr := error(nil)
-
-	exhausted := false
-	for !exhausted && !stopRequested() {
-		an := transform.NewAnalyzer(nl, pm)
-		_, harvSpan := trace.StartSpan(ctx, "harvest")
-		stop = ph.Start("harvest")
-		cands := transform.Generate(nl, pm, opts.Transform)
-		stop()
-		res.Harvests++
-		res.Candidates += len(cands)
-		harvSpan.SetAttr("harvest", res.Harvests)
-		harvSpan.SetAttr("candidates", len(cands))
-		if len(cands) == 0 {
-			harvSpan.End()
-			break
-		}
-		stop = ph.Start("ab-analysis")
-		for _, s := range cands {
-			an.AnalyzeAB(s)
-		}
-		stop()
-		harvSpan.End()
-
-		var timing *sta.Analysis
-		if constraint > 0 {
-			stop = ph.Start("delay-analysis")
-			timing = sta.NewObserved(nl, constraint, opts.InputDrive, o)
-			stop()
-		}
-
-		progress := false
-		for repeat := opts.Repeat; repeat > 0 && len(cands) > 0; {
-			if stopRequested() {
-				exhausted = true
-				break
-			}
-			// Pre-selection: the best PG_A+PG_B candidates (cheap), then
-			// PG_C reestimation only for those (paper Section 3.5).
-			k := opts.PreselectK
-			if opts.DisablePreselect || k > len(cands) {
-				k = len(cands)
-			}
-			stop = ph.Start("preselect")
-			partialSelectByGainAB(cands, k)
-			stop()
-			var best *transform.Substitution
-			bestIdx := -1
-			for i := 0; i < k; i++ {
-				s := cands[i]
-				stop = ph.Start("preselect")
-				valid := candidateValid(nl, s)
-				stop()
-				if !valid {
-					continue
-				}
-				stop = ph.Start("pgc-reestimate")
-				an.AnalyzeC(s)
-				stop()
-				if best == nil || s.Gain() > best.Gain() {
-					best, bestIdx = s, i
-				}
-			}
-			if best == nil || best.Gain() <= opts.MinGain {
-				// No power-reducing substitution in this harvest; a fresh
-				// harvest (outer loop) may still find some after the
-				// structural changes, and the outer loop terminates once a
-				// whole harvest makes no progress.
-				if best != nil {
-					reject(RejectLowGain, best, nil)
-				}
-				break
-			}
-			// Drop the candidate from the pool whatever happens next.
-			cands = append(cands[:bestIdx], cands[bestIdx+1:]...)
-
-			// One span per selected candidate; the proof (with its SAT
-			// solves and escalation steps) and the apply nest under it.
-			// endCandidate stamps the outcome and detaches the checker
-			// from the candidate's span context.
-			cctx, cSpan := trace.StartSpan(ctx, "candidate")
-			cSpan.SetAttr("kind", best.Kind.String())
-			cSpan.SetAttr("sub", best.String())
-			cSpan.SetAttr("gain", best.Gain())
-			endCandidate := func(outcome string) {
-				cSpan.SetAttr("outcome", outcome)
-				cSpan.End()
-				checker.Ctx = ctx
-			}
-
-			if timing != nil {
-				stop = ph.Start("delay-check")
-				ok := transform.DelayOK(nl, best, timing)
-				stop()
-				if !ok {
-					reject(RejectDelay, best, nil)
-					endCandidate(RejectDelay)
-					continue // increases_delay -> discard, pick the next best
-				}
-			}
-			checker.Ctx = cctx
-			stop = ph.Start("atpg-check")
-			verdict := checkCandidate(checker, best)
-			stop()
-			d := checker.LastCheck
-			proof := &obs.LedgerProof{
-				Conflicts: d.Conflicts,
-				Decisions: d.Decisions,
-				Seconds:   d.Seconds,
-				Budget:    d.Budget,
-			}
-			if hooks != nil && hooks.ForceAbort != nil && hooks.ForceAbort(checker.Stats.Checks) {
-				verdict = atpg.Aborted
-			}
-			if verdict == atpg.Aborted && retriesLeft > 0 && ctx.Err() == nil {
-				verdict = escalate(cctx, checker, best, hooks, &retriesLeft, res, ph, o, proof)
-			}
-			proof.Verdict = verdict.String()
-			if verdict != atpg.Permissible {
-				if verdict == atpg.Aborted {
-					reject(RejectAborted, best, proof)
-					endCandidate(RejectAborted)
-				} else {
-					reject(RejectRefuted, best, proof)
-					endCandidate(RejectRefuted)
-				}
-				continue
-			}
-
-			if hooks != nil && hooks.Panic != nil && hooks.Panic(res.Applied) {
-				panic(fmt.Sprintf("faultinject: injected panic after %d substitutions", res.Applied))
-			}
-
-			// Transactional apply: snapshot the primary-output signatures,
-			// apply inside an edit transaction, then re-validate the
-			// structural invariants and re-simulate the signatures. Any
-			// damage — a buggy transform, an injected corruption, a panic
-			// in the apply path — rolls the transaction back and the run
-			// continues with the next candidate.
-			// Bracket the apply with power captures: their difference is the
-			// realized gain, and the per-node diff is its attribution over
-			// the touched cone. Simulation is deterministic, so the realized
-			// gains of the applied moves telescope exactly to the headline
-			// Initial.Power - Final.Power (rollbacks restore prior values).
-			var pBefore float64
-			if led != nil {
-				pBefore = pm.Total()
-				perNodeBefore = pm.PerNode(perNodeBefore)
-			}
-			preSig := poSignatures(pm, nl)
-			_, aSpan := trace.StartSpan(cctx, "apply")
-			txn := nl.Begin()
-			stop = ph.Start("apply")
-			_, applyErr := transform.ApplySafe(nl, best)
-			stop()
-			reason := RejectApplyConflict
-			if applyErr == nil && hooks != nil && hooks.CorruptApply != nil {
-				if cerr := hooks.CorruptApply(nl, res.Applied); cerr != nil {
-					applyErr = cerr
-					reason = RejectRollback
-				}
-			}
-			if applyErr == nil {
-				stop = ph.Start("validate")
-				if verr := nl.Validate(); verr != nil {
-					applyErr = verr
-					reason = RejectRollback
-				}
-				stop()
-			}
-			if applyErr == nil {
-				stop = ph.Start("power-resync")
-				pm.Resync()
-				stop()
-				if !sameSignatures(preSig, poSignatures(pm, nl)) {
-					applyErr = fmt.Errorf("core: primary-output signatures changed after apply of %v", best)
-					reason = RejectRollback
-				}
-			}
-			if applyErr != nil {
-				txn.Rollback()
-				aSpan.SetAttr("outcome", reason)
-				aSpan.End()
-				stop = ph.Start("power-resync")
-				pm.Resync()
-				an = transform.NewAnalyzer(nl, pm)
-				stop()
-				reject(reason, best, proof)
-				if o.Tracing() {
-					o.Emit("rollback", obs.Fields{"sub": best.String(), "error": applyErr.Error()})
-				}
-				endCandidate(reason)
-				continue
-			}
-			txn.Commit()
-			aSpan.SetAttr("outcome", "applied")
-			aSpan.End()
-			if led != nil {
-				pAfter := pm.Total()
-				perNodeAfter = pm.PerNode(perNodeAfter)
-				led.Record(obs.LedgerAttempt{
-					Kind:          best.Kind.String(),
-					Target:        best.TargetString(),
-					Source:        best.SourceString(),
-					PredictedGain: best.Gain(),
-					Outcome:       obs.LedgerApplied,
-					Proof:         proof,
-					PowerBefore:   pBefore,
-					PowerAfter:    pAfter,
-					RealizedGain:  pBefore - pAfter,
-					Cone:          coneDeltas(nl, perNodeBefore, perNodeAfter),
-				})
-				o.Counter("core.ledger.attempts").Inc()
-				o.Counter("core.ledger.applied").Inc()
-				o.Histogram("core.ledger.realized_gain").Observe(pBefore - pAfter)
-			}
-			an = transform.NewAnalyzer(nl, pm)
-			if timing != nil {
-				stop = ph.Start("delay-analysis")
-				timing = sta.NewObserved(nl, constraint, opts.InputDrive, o)
-				stop()
-			}
-			cs := res.ByClass[best.Kind]
-			cs.Count++
-			cs.PowerGain += best.Gain()
-			cs.AreaDelta += best.AreaDelta
-			res.Applied++
-			progress = true
-			repeat--
-			o.Counter("core.applied").Inc()
-			o.Histogram("core.apply.gain").Observe(best.Gain())
-			if o.Tracing() {
-				o.Emit("apply", obs.Fields{
-					"sub":        best.String(),
-					"kind":       best.Kind.String(),
-					"gain":       best.Gain(),
-					"area_delta": best.AreaDelta,
-					"applied":    res.Applied,
-				})
-			}
-			endCandidate("applied")
-			reportProgress(false)
-			if opts.MaxSubstitutions > 0 && res.Applied >= opts.MaxSubstitutions {
-				res.Stopped = StopMaxSubs
-				exhausted = true
-				break
-			}
-			// Safety-net refresh: periodically re-prove the current netlist
-			// equivalent to the input and advance the last-good snapshot.
-			// Runs after the substitution-cap check so a run that just hit
-			// its cap does not pay for a proof whose snapshot is never used.
-			if opts.VerifyEvery > 0 && res.Applied%opts.VerifyEvery == 0 && ctx.Err() == nil {
-				svctx, svSpan := trace.StartSpan(ctx, "safety-verify")
-				stop = ph.Start("safety-verify")
-				eq, eqErr := atpg.EquivalentCtx(svctx, input, nl, 0)
-				stop()
-				svSpan.End()
-				switch {
-				case eqErr == nil && eq.Verdict == atpg.Permissible:
-					lastGood = nl.Clone()
-					res.SafetyRefreshes++
-					o.Counter("core.safety.refresh").Inc()
-				case eqErr == nil && eq.Verdict == atpg.NotPermissible:
-					// Every substitution was individually proven, so this
-					// means a checker or apply bug slipped through all other
-					// nets. Restore the last verified state and stop.
-					nl.RestoreFrom(lastGood)
-					pm.Resync()
-					verifyErr = fmt.Errorf("core: periodic verification refuted equivalence on output %q; restored last verified snapshot", eq.DifferingOutput)
-					exhausted = true
-				}
-				// An aborted verification keeps the previous snapshot.
-				if exhausted {
-					break
-				}
-			}
-			// Stale AB gains are refreshed for the surviving candidates;
-			// this keeps the pre-selection meaningful within the repeat
-			// window without a full re-harvest.
-			stop = ph.Start("ab-analysis")
-			kept := cands[:0]
-			for _, s := range cands {
-				if candidateValid(nl, s) {
-					an.AnalyzeAB(s)
-					kept = append(kept, s)
-				} else {
-					res.Rejects[RejectStale]++
-					o.Counter("core.rejects." + RejectStale).Inc()
-					led.CountReject(RejectStale)
-				}
-			}
-			cands = kept
-			stop()
-		}
-		if !progress {
-			break
-		}
-	}
-
-	_, finSpan := trace.StartSpan(ctx, "power-estimate")
-	stop = ph.Start("power-estimate")
-	res.Final = pm.Snapshot()
-	stop()
-	finSpan.End()
-	_, finStaSpan := trace.StartSpan(ctx, "delay-analysis")
-	stop = ph.Start("delay-analysis")
-	res.FinalDelay = sta.NewObserved(nl, 0, opts.InputDrive, o).Delay()
-	stop()
-	finStaSpan.End()
-	res.CheckStats = checker.Stats
-	stop = ph.Start("validate")
-	vErr := nl.Validate()
-	stop()
-	res.Runtime = time.Since(start)
-	res.Phases = ph.Snapshot()
-	res.Ledger = led.Summary()
-	stampActivity(res.Ledger, opts.Activity)
-	reportProgress(true)
-	if o.Tracing() {
-		o.Emit("optimize-done", obs.Fields{
-			"applied":         res.Applied,
-			"harvests":        res.Harvests,
-			"candidates":      res.Candidates,
-			"power_initial":   res.Initial.Power,
-			"power_final":     res.Final.Power,
-			"reduction_pct":   res.PowerReductionPct(),
-			"runtime_seconds": res.Runtime.Seconds(),
-			"stopped":         string(res.Stopped),
-			"rollbacks":       res.Rejects[RejectRollback],
-			"escalations":     res.Escalation.Retries,
-		})
-	}
-	if verifyErr != nil {
-		return res, verifyErr
-	}
-	if vErr != nil {
-		// Unreachable with the transactional apply in place, but if the
-		// invariants are somehow broken, hand back the last verified
-		// snapshot rather than a corrupt netlist.
-		nl.RestoreFrom(lastGood)
-		return res, fmt.Errorf("core: netlist invalid after optimization: %v (restored last verified snapshot)", vErr)
-	}
-	return res, nil
+	return res, r.finish()
 }
 
-// escalate retries an aborted proof with geometrically escalated SAT
-// budgets (×escalationFactor per step, escalationSteps max) while the
-// per-run retry quota lasts, returning the final verdict and recording
-// the escalation statistics. proof, when non-nil, accumulates the SAT
-// effort of every retry for the run ledger.
-func escalate(ctx context.Context, checker *atpg.Checker, s *transform.Substitution,
-	hooks *faultinject.Hooks, retriesLeft *int, res *Result, ph *obs.PhaseSet, o *obs.Observer,
-	proof *obs.LedgerProof) atpg.Verdict {
-	base := checker.Budget
-	defer func() { checker.Budget = base }()
-	budget := base
-	verdict := atpg.Aborted
-	for step := 0; step < escalationSteps && verdict == atpg.Aborted && *retriesLeft > 0 && ctx.Err() == nil; step++ {
-		budget *= escalationFactor
-		*retriesLeft--
-		res.Escalation.Retries++
-		o.Counter("core.escalation.retries").Inc()
-		checker.Budget = budget
-		// Each retry gets its own child span so an escalation ladder is
-		// visible as stacked re-proofs under the candidate.
-		ectx, eSpan := trace.StartSpan(ctx, "escalate")
-		eSpan.SetAttr("step", step+1)
-		eSpan.SetAttr("budget", budget)
-		checker.Ctx = ectx
-		stop := ph.Start("atpg-check")
-		verdict = checkCandidate(checker, s)
-		stop()
-		checker.Ctx = ctx
-		if proof != nil {
-			d := checker.LastCheck
-			proof.Conflicts += d.Conflicts
-			proof.Decisions += d.Decisions
-			proof.Seconds += d.Seconds
-			proof.Budget = d.Budget
-			proof.Escalations++
+// sequential is the Parallelism <= 1 driver: harvest on the master, run
+// one greedy repeat window committing every accepted move, and repeat
+// until a whole harvest makes no progress.
+func (r *run) sequential() {
+	m := r.master
+	commit := func(ctx context.Context, sp *trace.Span, s *transform.Substitution, proof *obs.LedgerProof, _ []netlist.NodeID) (bool, bool) {
+		applied, stop := r.commit(ctx, sp, s, proof, -1)
+		return applied != nil, stop
+	}
+	for !r.stopRequested() {
+		cands := m.harvest(r.ctx, r.opts.Transform)
+		r.res.Harvests++
+		r.res.Candidates += len(cands)
+		if len(cands) == 0 {
+			return
 		}
-		if hooks != nil && hooks.ForceAbort != nil && hooks.ForceAbort(checker.Stats.Checks) {
-			verdict = atpg.Aborted
+		m.refreshTiming()
+		if progress, stop := m.greedy(r.ctx, cands, commit); stop || !progress {
+			return
 		}
-		eSpan.SetAttr("verdict", verdict.String())
-		eSpan.End()
 	}
-	switch verdict {
-	case atpg.Permissible:
-		res.Escalation.Permissible++
-		o.Counter("core.escalation.permissible").Inc()
-	case atpg.NotPermissible:
-		res.Escalation.Refuted++
-		o.Counter("core.escalation.refuted").Inc()
-	default:
-		res.Escalation.Exhausted++
-		o.Counter("core.escalation.exhausted").Inc()
-	}
-	if o.Tracing() {
-		o.Emit("escalate", obs.Fields{
-			"sub":          s.String(),
-			"verdict":      verdict.String(),
-			"budget":       budget,
-			"retries_left": *retriesLeft,
-		})
-	}
-	return verdict
 }
 
 // coneLimit caps the per-move attribution entries the ledger retains;
@@ -1063,15 +561,6 @@ func sameSignatures(a, b []uint64) bool {
 	return true
 }
 
-// checkCandidate runs the exact permissibility proof (the paper's
-// check_candidate; an ATPG abort counts as not permissible).
-func checkCandidate(c *atpg.Checker, s *transform.Substitution) atpg.Verdict {
-	if s.IsBranchSub() {
-		return c.CheckBranch(s.G, s.Pin, s.Src)
-	}
-	return c.CheckStem(s.A, s.Src)
-}
-
 // partialSelectByGainAB moves the k highest-GainAB candidates to the front
 // (selection is O(k*n), cheaper than a full sort for small k).
 func partialSelectByGainAB(cands []*transform.Substitution, k int) {
@@ -1134,12 +623,4 @@ func candidateValid(nl *netlist.Netlist, s *transform.Substitution) bool {
 		}
 	}
 	return true
-}
-
-// stampActivity records the run's workload activity model on the ledger
-// summary (nil-safe for disabled ledgers).
-func stampActivity(s *obs.LedgerSummary, activity string) {
-	if s != nil {
-		s.Activity = activity
-	}
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"powder/internal/faultinject"
 	"powder/internal/netlist"
 	"powder/internal/obs"
+	"powder/internal/obs/trace"
 	"powder/internal/transform"
 )
 
@@ -173,5 +177,73 @@ func TestParallelTinyCircuit(t *testing.T) {
 	}
 	if !exhaustiveEqual(t, ref, nl) {
 		t.Fatal("tiny parallel run broke function")
+	}
+}
+
+// TestActivityLabelOnBothEngines: the workload activity label reaches the
+// ledger and the report's "Activity model" line on both engines.
+func TestActivityLabelOnBothEngines(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			nl := compileBenchmark(t, "comp")
+			res, err := Optimize(nl, Options{
+				Parallelism: par,
+				Activity:    "probe.vcd",
+				Transform:   transform.Config{AllowInverted: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Ledger == nil {
+				t.Fatal("run has no ledger")
+			}
+			if got := res.Ledger.Activity; got != "probe.vcd" {
+				t.Fatalf("ledger activity = %q, want probe.vcd", got)
+			}
+			var sb strings.Builder
+			WriteReport(&sb, "comp", res, nil)
+			if !strings.Contains(sb.String(), "Activity model: probe.vcd") {
+				t.Errorf("report lacks the activity line:\n%s", sb.String())
+			}
+		})
+	}
+}
+
+// TestParallelTraceWellFormed: a traced -par 2 run yields a valid span
+// tree in which every permissibility proof is exactly one "prove" span,
+// never a "prove" nested inside another.
+func TestParallelTraceWellFormed(t *testing.T) {
+	nl := compileBenchmark(t, "comp")
+	tr := trace.New("comp", trace.Options{})
+	_, err := OptimizeCtx(trace.NewContext(context.Background(), tr), nl, Options{
+		Parallelism: 2,
+		Transform:   transform.Config{AllowInverted: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Snapshot()
+	if err := trace.Validate(spans); err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[trace.SpanID]trace.Record, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	proves := 0
+	for _, s := range spans {
+		if s.Name != "prove" {
+			continue
+		}
+		proves++
+		if p, ok := byID[s.Parent]; ok && p.Name == "prove" {
+			t.Fatalf("prove span %d nests inside prove span %d", s.ID, p.ID)
+		}
+	}
+	if proves == 0 {
+		t.Fatal("traced run recorded no prove spans")
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d spans", tr.Dropped())
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -131,36 +132,42 @@ func TestInjectedPanicRestoresLastGood(t *testing.T) {
 	}
 }
 
-// TestForcedAbortsEscalate pins the adaptive proof budgets: verdicts
-// forced to Aborted are retried with escalated budgets under the
-// MaxRetries quota, recover to real verdicts, and the stats record it.
+// TestForcedAbortsEscalate pins the adaptive proof budgets on both
+// engines: verdicts forced to Aborted are retried with escalated budgets
+// under the MaxRetries quota, recover to real verdicts, and the stats and
+// the escalate events record it.
 func TestForcedAbortsEscalate(t *testing.T) {
-	nl := redundantCircuit(t)
-	ref := nl.Clone()
-	capture := obs.NewCaptureSink()
-	res, err := Optimize(nl, Options{
-		MaxRetries: 8,
-		Transform:  transform.Config{AllowInverted: true},
-		Inject:     &faultinject.Hooks{ForceAbort: faultinject.AbortFirstN(2)},
-		Obs:        obs.New(capture, nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Escalation.Retries == 0 {
-		t.Fatalf("forced aborts never escalated: %+v", res.Escalation)
-	}
-	if res.Escalation.Permissible+res.Escalation.Refuted == 0 {
-		t.Errorf("escalation never reached a real verdict: %+v", res.Escalation)
-	}
-	if n := capture.Count("escalate"); n == 0 {
-		t.Errorf("no escalate events emitted")
-	}
-	if res.Applied == 0 {
-		t.Errorf("escalated run applied nothing")
-	}
-	if !exhaustiveEqual(t, ref, nl) {
-		t.Fatal("escalated run changed the circuit function")
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			nl := redundantCircuit(t)
+			ref := nl.Clone()
+			capture := obs.NewCaptureSink()
+			res, err := Optimize(nl, Options{
+				MaxRetries:  8,
+				Parallelism: par,
+				Transform:   transform.Config{AllowInverted: true},
+				Inject:      &faultinject.Hooks{ForceAbort: faultinject.AbortFirstN(2)},
+				Obs:         obs.New(capture, nil),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Escalation.Retries == 0 {
+				t.Fatalf("forced aborts never escalated: %+v", res.Escalation)
+			}
+			if res.Escalation.Permissible+res.Escalation.Refuted == 0 {
+				t.Errorf("escalation never reached a real verdict: %+v", res.Escalation)
+			}
+			if n := capture.Count("escalate"); n == 0 {
+				t.Errorf("no escalate events emitted")
+			}
+			if res.Applied == 0 {
+				t.Errorf("escalated run applied nothing")
+			}
+			if !exhaustiveEqual(t, ref, nl) {
+				t.Fatal("escalated run changed the circuit function")
+			}
+		})
 	}
 }
 
